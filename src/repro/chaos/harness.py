@@ -112,18 +112,19 @@ def scenarios() -> list[ChaosScenario]:
         # ---- blob store write protocol (campaign-driven) ----
         _("blob write hits a full disk",
           "store.blob.pre-temp-write", "enospc",
-          effect="golden-trace blob cannot be written; the campaign "
-                 "halts mid-finalize",
+          effect="golden-record blob cannot be written; the "
+                 "campaign halts before simulating",
           detection="coded E413 diagnostic (no traceback)",
           recovery="store unchanged; warm rerun resumes and "
                    "completes once space clears",
           smoke=True),
         _("crash before the blob temp file exists",
           "store.blob.pre-temp-write", "kill",
-          effect="process dies with no blob and an open run row",
-          detection="fsck flags the interrupted run (E408)",
-          recovery="warm rerun recomputes the blob from cached "
-                   "outcomes"),
+          effect="process dies with no blob, before any run row "
+                 "or golden entry refers to one",
+          detection="nothing dangles: fsck finds the store clean",
+          recovery="rerun records the golden run and writes the "
+                   "blob"),
         _("torn blob temp write (lost page flush)",
           "store.blob.post-temp-write", "torn",
           effect="the temp file is truncated and the process dies",
@@ -133,7 +134,8 @@ def scenarios() -> list[ChaosScenario]:
         _("crash between temp fsync and rename",
           "store.blob.pre-rename", "kill",
           effect="fully-written temp file, no visible blob",
-          detection="fsck flags the interrupted run (E408)",
+          detection="nothing refers to the blob yet: fsck finds the "
+                    "store clean",
           recovery="rename never happened: readers saw nothing; "
                    "rerun rewrites the blob"),
         _("torn blob after rename (power loss before data flush)",

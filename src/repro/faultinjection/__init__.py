@@ -13,7 +13,13 @@ from .faults import (
     SeuFault,
     StuckNetFault,
 )
-from .profiler import MemAccess, OperationalProfile, profile_workload
+from .profiler import (
+    GoldenRecord,
+    MemAccess,
+    OperationalProfile,
+    profile_workload,
+    record_golden,
+)
 from .faultlist import (
     CandidateList,
     FaultListConfig,
@@ -105,7 +111,8 @@ __all__ = [
     "ArmedFault", "BridgeFault", "Fault", "GlobalStuckFault",
     "MbuFault", "MemCouplingFault", "MemFlipFault", "MemStuckFault", "SetFault",
     "SeuFault", "StuckNetFault",
-    "MemAccess", "OperationalProfile", "profile_workload",
+    "GoldenRecord", "MemAccess", "OperationalProfile",
+    "profile_workload", "record_golden",
     "CandidateList", "FaultListConfig", "collapse",
     "generate_cone_faults", "generate_gate_faults",
     "generate_zone_faults", "randomize",

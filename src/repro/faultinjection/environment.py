@@ -12,6 +12,7 @@ setup — and hands out configured profilers, fault lists and managers.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from ..diagnostics import DiagnosticError, DiagnosticReport
 from ..fmea.worksheet import FmeaWorksheet
@@ -23,7 +24,7 @@ from .faultlist import (
     generate_zone_faults,
 )
 from .manager import CampaignConfig, FaultInjectionManager
-from .profiler import OperationalProfile, profile_workload
+from .profiler import GoldenRecord, OperationalProfile, record_golden
 
 STIMULI_SCHEMA_VERSION = 1
 
@@ -186,16 +187,44 @@ class InjectionEnvironment:
         self.setup = setup
         self.read_strobes = read_strobes or {}
         self.test_windows = tuple(test_windows)
-        self._profile = None
+        self._record: GoldenRecord | None = None
 
     # ------------------------------------------------------------------
+    def golden_record(self, cache=None) -> GoldenRecord:
+        """The workload's one fault-free run: OP and golden activity.
+
+        Recorded once per environment.  With ``cache`` (a
+        :class:`repro.store.CampaignCache`) the record is
+        content-addressed in the store, so an unchanged design loads it
+        instead of replaying the workload.
+        """
+        if self._record is None:
+            record = partial(
+                record_golden, self.circuit, self.stimuli,
+                setup=self.setup, read_strobes=self.read_strobes,
+                observation_points=self.zone_set.observation_points)
+            key = None if cache is None else self._golden_key()
+            self._record = record() if key is None \
+                else cache._golden(key, record)
+        return self._record
+
+    def _golden_key(self) -> str | None:
+        """Store key of the golden record; ``None`` when the setup
+        programs fault overlays (not content-addressable)."""
+        from ..store.fingerprint import FingerprintContext
+        from .parallel import snapshot_setup
+        try:
+            setup = snapshot_setup(self.circuit, self.setup)
+        except ValueError:
+            return None
+        return FingerprintContext(
+            self.circuit, self.stimuli, [],
+            self.zone_set.observation_points,
+            setup=setup).golden_key(self.read_strobes)
+
     def profile(self) -> OperationalProfile:
         """The (cached) operational profile of the workload."""
-        if self._profile is None:
-            self._profile = profile_workload(
-                self.circuit, self.stimuli, setup=self.setup,
-                read_strobes=self.read_strobes)
-        return self._profile
+        return self.golden_record().profile
 
     def candidates(self, config: FaultListConfig | None = None
                    ) -> CandidateList:

@@ -13,10 +13,10 @@ This module distributes the passes across worker *processes*:
   :class:`CampaignSpec` — circuit, stimuli, zones, observation points,
   configuration and a picklable setup (see :class:`MemoryImageSetup`)
   — and rebuilds its own manager once per process;
-* the **golden (fault-free) trace** is computed once in the parent
-  (:func:`compute_golden_trace`) and its activity bits are merged into
-  the final coverage ledger, instead of every batch re-deriving the
-  golden bookkeeping cycle by cycle;
+* the **golden (fault-free) activity bits** come with the spec or are
+  computed once in the parent (:func:`compute_golden_trace`) and are
+  merged into the final coverage ledger, instead of every batch
+  re-deriving the golden bookkeeping cycle by cycle;
 * per-shard wall-clock / fault-count statistics and a progress
   callback give campaign observability.
 
@@ -49,6 +49,7 @@ from .manager import (
     CampaignResult,
     FaultInjectionManager,
 )
+from .profiler import GoldenTrace, record_golden
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +146,9 @@ class CampaignSpec:
         default_factory=list)
     config: CampaignConfig = field(default_factory=CampaignConfig)
     setup: MemoryImageSetup | None = None
+    #: golden activity bits read off the workload's recorded run;
+    #: ``None`` makes the runner compute them once
+    golden: GoldenTrace | None = None
 
     @classmethod
     def from_environment(cls, env, config: CampaignConfig | None = None
@@ -183,55 +187,17 @@ class CampaignSpec:
 
 
 # ----------------------------------------------------------------------
-# golden-run cache
+# golden run
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GoldenTrace:
-    """Fault-free reference activity, computed once per campaign.
-
-    ``obse_active`` are the functional points the workload itself
-    toggles (they self-cover their OBSE items); ``diag_active`` are the
-    diagnostics the workload exercises without any fault present.
-    Workers run with golden bookkeeping disabled and these bits are
-    merged into the final coverage ledger exactly once.
-    """
-
-    cycles: int
-    obse_active: tuple[str, ...]
-    diag_active: tuple[str, ...]
-    wall_seconds: float = 0.0
-
-
 def compute_golden_trace(manager: FaultInjectionManager) -> GoldenTrace:
     """One fault-free run of the workload, recording activity bits."""
-    start = time.time()
-    sim = Simulator(manager.circuit, machines=1)
-    if manager.setup is not None:
-        manager.setup(sim)
     stimuli = manager.stimuli
     if manager.config.max_cycles is not None:
         stimuli = stimuli[:manager.config.max_cycles]
-    func_nets = {p.name: list(p.nets) for p in manager.functional}
-    diag_nets = {p.name: list(p.nets) for p in manager.diagnostic}
-    prev: dict[str, int] = {}
-    obse: set[str] = set()
-    diag: set[str] = set()
-    for inputs in stimuli:
-        sim.step_eval(inputs)
-        for name, nets in func_nets.items():
-            value = sim.value_of(nets)
-            if name in prev and prev[name] != value:
-                obse.add(name)
-            prev[name] = value
-        for name, nets in diag_nets.items():
-            if name not in diag and \
-                    any(sim.peek(net) & 1 for net in nets):
-                diag.add(name)
-        sim.step_commit()
-    return GoldenTrace(cycles=len(stimuli),
-                       obse_active=tuple(sorted(obse)),
-                       diag_active=tuple(sorted(diag)),
-                       wall_seconds=time.time() - start)
+    return record_golden(
+        manager.circuit, stimuli, setup=manager.setup,
+        observation_points=manager.functional + manager.diagnostic
+    ).golden_trace()
 
 
 # ----------------------------------------------------------------------
@@ -258,10 +224,10 @@ def _worker_init(spec: CampaignSpec) -> None:
 
 
 def _worker_run(index: int, shard: list[Fault]):
-    start = time.time()
+    start = time.perf_counter()
     result = _WORKER_MANAGER.run_batches(list(shard),
                                          track_golden=False)
-    return index, os.getpid(), result, time.time() - start
+    return index, os.getpid(), result, time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -391,11 +357,11 @@ class ParallelCampaignRunner:
 
     # ------------------------------------------------------------------
     def _run_serial(self, candidates: CandidateList) -> CampaignResult:
-        start = time.time()
+        start = time.perf_counter()
         result = self.spec.manager().run(candidates)
         stats = CampaignStats(workers=1,
                               total_faults=len(result.results),
-                              wall_seconds=time.time() - start)
+                              wall_seconds=time.perf_counter() - start)
         stats.shards.append(ShardStats(
             shard=0, worker=os.getpid(), faults=len(result.results),
             passes=result.passes, cycles=result.cycles_simulated,
@@ -406,9 +372,9 @@ class ParallelCampaignRunner:
         return result
 
     def _run_sharded(self, candidates: CandidateList) -> CampaignResult:
-        start = time.time()
+        start = time.perf_counter()
         manager = self.spec.manager()
-        golden = compute_golden_trace(manager)
+        golden = self.spec.golden or compute_golden_trace(manager)
         shards = shard_candidates(list(candidates.faults),
                                   self.shards or self.workers)
         total = len(candidates.faults)
@@ -448,7 +414,7 @@ class ParallelCampaignRunner:
         for name in golden.diag_active:
             result.coverage.diag[name] = True
         manager.fill_coverage(result)
-        result.wall_seconds = time.time() - start
+        result.wall_seconds = time.perf_counter() - start
         stats.wall_seconds = result.wall_seconds
         stats.shards.sort(key=lambda s: s.shard)
         self.last_stats = stats

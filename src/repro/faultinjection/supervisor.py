@@ -200,15 +200,16 @@ def _supervised_worker(conn, spec: CampaignSpec,
     a worker that dies before sending is detected by the supervisor
     as EOF on the pipe (a crash).
     """
-    start = time.time()
+    start = time.perf_counter()
     try:
         result = spec.manager().run_batches(list(faults),
                                             track_golden=False)
-        payload = ("ok", os.getpid(), result, time.time() - start)
+        payload = ("ok", os.getpid(), result,
+                   time.perf_counter() - start)
     except BaseException as exc:  # noqa: BLE001 — report, then die
         payload = ("error", os.getpid(),
                    (type(exc).__name__, traceback.format_exc()),
-                   time.time() - start)
+                   time.perf_counter() - start)
     try:
         conn.send(payload)
     finally:
@@ -240,7 +241,7 @@ class _Active:
     job: _ShardJob
     process: object
     conn: object
-    started: float = field(default_factory=time.time)
+    started: float = field(default_factory=time.perf_counter)
 
 
 class CampaignSupervisor:
@@ -287,7 +288,7 @@ class CampaignSupervisor:
 
     # ------------------------------------------------------------------
     def run(self, candidates: CandidateList) -> CampaignResult:
-        start = time.time()
+        start = time.perf_counter()
         faults = list(candidates.faults)
         manager = self.spec.manager()
         health = CampaignHealth()
@@ -299,7 +300,7 @@ class CampaignSupervisor:
         self._attempt_log: list[tuple] = []
         self._shard_seq = 0
         self._total = len(faults)
-        self._last_beat = 0.0
+        self._last_beat = float("-inf")
         self._beat()
 
         result = manager.new_result()
@@ -317,25 +318,17 @@ class CampaignSupervisor:
         if self.progress is not None and self._done_count():
             self.progress(self._done_count(), self._total)
 
-        # on an uncached run the fault-free golden trace is computed
-        # in the supervisor's own process *while* the workers simulate
-        # — the event loop would otherwise idle in connection waits
-        self._golden_early = None
-        self._golden_task = (lambda: compute_golden_trace(manager)) \
-            if miss_indices and ctx is None else None
-
         if miss_indices:
             self._execute(miss_indices)
 
         golden_seconds = 0.0
         golden_digest = None
         if faults:
-            if ctx is not None:
-                golden, golden_digest = self.cache._golden(ctx, manager)
-            elif self._golden_early is not None:
-                golden = self._golden_early
-            else:
-                golden = compute_golden_trace(manager)
+            golden = self.spec.golden
+            if golden is None:
+                golden = self.cache._golden_trace(ctx, manager) \
+                    if ctx is not None else compute_golden_trace(manager)
+            golden_digest = golden.blob
             golden_seconds = golden.wall_seconds
             result.results = [self._merged[i]
                               for i in range(len(faults))
@@ -345,7 +338,7 @@ class CampaignSupervisor:
             for name in golden.diag_active:
                 result.coverage.diag[name] = True
         manager.fill_coverage(result)
-        result.wall_seconds = time.time() - start
+        result.wall_seconds = time.perf_counter() - start
 
         health.quarantined = len(self._quarantined)
         self.anomalies = [self._quarantined[i]
@@ -420,7 +413,7 @@ class CampaignSupervisor:
         """Invoke the configured liveness callback, throttled."""
         if self.config.heartbeat is None:
             return
-        now = time.time()
+        now = time.perf_counter()
         if now - self._last_beat >= self.config.heartbeat_interval:
             self._last_beat = now
             self.config.heartbeat()
@@ -441,7 +434,7 @@ class CampaignSupervisor:
         try:
             while pending or active:
                 self._beat()
-                now = time.time()
+                now = time.perf_counter()
                 # launch ready work onto free workers
                 while (not self._degraded and pending
                        and len(active) < self.workers):
@@ -454,11 +447,6 @@ class CampaignSupervisor:
                         break
                     active.append(handle)
 
-                if self._golden_task is not None and active:
-                    # overlap the golden trace with the running workers
-                    task, self._golden_task = self._golden_task, None
-                    self._golden_early = task()
-
                 if self._degraded and not active:
                     # one shard per tick so the heartbeat keeps firing
                     # between in-process shard runs
@@ -470,14 +458,14 @@ class CampaignSupervisor:
                 if not active:
                     # everything pending is backing off
                     wake = min(job.not_before for job in pending)
-                    time.sleep(max(0.0, min(wake - time.time(),
-                                            cfg.poll_interval)))
+                    time.sleep(max(0.0, min(
+                        wake - time.perf_counter(), cfg.poll_interval)))
                     continue
 
                 ready = _connection_wait(
                     [handle.conn for handle in active],
                     timeout=cfg.poll_interval)
-                now = time.time()
+                now = time.perf_counter()
                 by_conn = {handle.conn: handle for handle in active}
                 for conn in ready:
                     handle = by_conn[conn]
@@ -513,7 +501,7 @@ class CampaignSupervisor:
 
                 # wall-clock deadlines
                 if cfg.shard_timeout is not None:
-                    now = time.time()
+                    now = time.perf_counter()
                     for handle in list(active):
                         if now - handle.started <= cfg.shard_timeout:
                             continue
@@ -611,7 +599,7 @@ class CampaignSupervisor:
         wall-clock hangs cannot be contained without process
         isolation.
         """
-        start = time.time()
+        start = time.perf_counter()
         try:
             part = self.spec.manager().run_batches(
                 [self._faults[i] for i in job.indices],
@@ -624,9 +612,10 @@ class CampaignSupervisor:
                 kind = ANOMALY_EXCEPTION
                 self._health.exceptions += 1
             self._failure(pending, job, kind, traceback.format_exc(),
-                          os.getpid(), time.time() - start)
+                          os.getpid(), time.perf_counter() - start)
             return
-        self._complete(job, os.getpid(), part, time.time() - start)
+        self._complete(job, os.getpid(), part,
+                       time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     # outcome handling
@@ -659,7 +648,7 @@ class CampaignSupervisor:
         cfg = self.config
         if job.attempts <= cfg.max_retries:
             self._health.retries += 1
-            job.not_before = time.time() + decorrelated_delay(
+            job.not_before = time.perf_counter() + decorrelated_delay(
                 job.attempts, cfg.backoff_base, cfg.backoff_factor,
                 cap=cfg.backoff_cap, seed=cfg.backoff_seed,
                 token=job.indices[0] if job.indices else 0)

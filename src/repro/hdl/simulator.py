@@ -260,6 +260,10 @@ class Simulator:
     def flop_value(self, flop, machine: int = 0) -> int:
         return (self._flop_state[self._resolve_flop(flop)] >> machine) & 1
 
+    def flop_values(self, machine: int = 0) -> list[int]:
+        """:meth:`flop_value` of every flop, in ``circuit.flops`` order."""
+        return [(state >> machine) & 1 for state in self._flop_state]
+
     def load_mem(self, mem, words: list[int]) -> None:
         """Initialize memory contents (broadcast to all machines)."""
         mi = self._resolve_mem(mem)

@@ -410,16 +410,21 @@ class CampaignService:
                            "against the netlist — nothing to inject")
                 return outcome(EXIT_DIAGNOSTIC)
 
+        if cache is None and request.use_cache:
+            cache = self.open_cache()
+        # the workload's one fault-free run: loaded from the store when
+        # unchanged, else recorded here; it yields both the OP for the
+        # fault list and the golden bits the campaign merges
+        record = env.golden_record(cache)
         candidates = env.candidates()
         if request.sample:
             candidates = randomize(candidates, request.sample)
 
-        if cache is None and request.use_cache:
-            cache = self.open_cache()
         config = CampaignConfig(
             machines_per_pass=request.machines_per_pass,
             engine=request.engine)
         spec = CampaignSpec.from_environment(env, config=config)
+        spec.golden = record.golden_trace(config.max_cycles)
         anomalies = []
         health = None
         if not request.supervise:
@@ -479,6 +484,7 @@ class CampaignService:
         hits = misses = simulated = 0
         if cache is not None:
             out.append(cache.stats.summary())
+            out.append(cache.stats.golden_summary())
             run_id = cache.last_run_id
             hits, misses = cache.stats.hits, cache.stats.misses
             simulated = cache.stats.simulated

@@ -6,7 +6,7 @@ fault descriptor.  :mod:`repro.store` content-addresses that function —
 every fault gets a :mod:`~repro.store.fingerprint` covering exactly the
 inputs that can influence its outcome — and persists the per-fault
 results in an append-only SQLite-indexed store
-(:mod:`~repro.store.db`) with golden-trace blobs
+(:mod:`~repro.store.db`) with golden-record blobs
 (:mod:`~repro.store.blobs`).
 
 :class:`~repro.store.cache.CampaignCache` is the façade the campaign

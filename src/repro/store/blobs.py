@@ -1,6 +1,6 @@
 """Content-addressed blob storage for the campaign store.
 
-Large immutable payloads — golden-trace snapshots, canonical circuit
+Large immutable payloads — golden records, canonical circuit
 serializations — live outside SQLite as loose objects under
 ``objects/<aa>/<rest>`` (git-style fan-out), addressed by the SHA-256
 of their content.  Writes are atomic *and durable*: the temp file is

@@ -19,7 +19,6 @@ setups) transparently bypass the store and are counted in
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -28,6 +27,11 @@ from ..faultinjection.manager import (
     CampaignResult,
     FaultInjectionManager,
     FaultResult,
+)
+from ..faultinjection.profiler import (
+    GoldenRecord,
+    GoldenTrace,
+    record_golden,
 )
 from .blobs import BlobStore, CorruptBlobError
 from .db import OutcomeRow, StoreDB
@@ -57,6 +61,13 @@ class CacheStats:
                 f"({self.hit_rate() * 100:.1f}% hit rate), "
                 f"{self.writes} new outcomes, "
                 f"{self.simulated} faults simulated")
+
+    def golden_summary(self) -> str:
+        """Whether the golden record was loaded or recorded, on its own
+        line so the :meth:`summary` line keeps its parsed format."""
+        state = "miss (recorded once)" if self.golden_misses \
+            else "hit" if self.golden_hits else "not used"
+        return f"golden record: {state}"
 
 
 @dataclass
@@ -119,7 +130,7 @@ class CampaignCache:
         if ctx is None:
             self.stats.uncacheable += len(candidates.faults)
             return manager.run(candidates)
-        start = time.time()
+        start = time.perf_counter()
         faults = list(candidates.faults)
         plan = self.plan(ctx, faults)
         run_id = self._begin(ctx, manager, faults, workers=1)
@@ -161,7 +172,7 @@ class CampaignCache:
         if ctx is None:
             self.stats.uncacheable += len(candidates.faults)
             return runner.run_uncached(candidates)
-        start = time.time()
+        start = time.perf_counter()
         manager = spec.manager()
         faults = list(candidates.faults)
         plan = self.plan(ctx, faults)
@@ -179,7 +190,7 @@ class CampaignCache:
         if runner.workers == 1 or len(plan.misses) <= 1:
             # not worth a pool — run the misses in-process
             before = self.stats.simulated
-            sim_start = time.time()
+            sim_start = time.perf_counter()
             self._simulate_chunked(manager, faults, plan, merged,
                                    result, progress=runner.progress,
                                    progress_base=len(plan.cached),
@@ -190,7 +201,7 @@ class CampaignCache:
                     faults=self.stats.simulated - before,
                     passes=result.passes,
                     cycles=result.cycles_simulated,
-                    wall_seconds=time.time() - sim_start))
+                    wall_seconds=time.perf_counter() - sim_start))
         else:
             shards = shard_candidates(
                 [faults[i] for i in plan.misses],
@@ -235,7 +246,8 @@ class CampaignCache:
             stats.shards.sort(key=lambda s: s.shard)
 
         golden_seconds = self._finalize(ctx, manager, faults, plan,
-                                        merged, result, run_id, start)
+                                        merged, result, run_id, start,
+                                        golden=spec.golden)
         stats.golden_seconds = golden_seconds
         stats.wall_seconds = result.wall_seconds
         runner.last_stats = stats
@@ -297,11 +309,14 @@ class CampaignCache:
         self.stats.writes += self.db.put_outcomes(rows)
 
     def _finalize(self, ctx, manager, faults, plan, merged, result,
-                  run_id, start) -> float:
+                  run_id, start, golden: GoldenTrace | None = None
+                  ) -> float:
         golden_digest = None
         golden_seconds = 0.0
         if faults:
-            golden, golden_digest = self._golden(ctx, manager)
+            if golden is None:
+                golden = self._golden_trace(ctx, manager)
+            golden_digest = golden.blob
             golden_seconds = golden.wall_seconds
             result.results = [merged[i] for i in range(len(faults))]
             for name in golden.obse_active:
@@ -309,7 +324,7 @@ class CampaignCache:
             for name in golden.diag_active:
                 result.coverage.diag[name] = True
         manager.fill_coverage(result)
-        result.wall_seconds = time.time() - start
+        result.wall_seconds = time.perf_counter() - start
         membership = [
             (plan.fingerprints[i], faults[i].name, faults[i].zone,
              result.outcome_of(merged[i]))
@@ -324,37 +339,38 @@ class CampaignCache:
         return golden_seconds
 
     # ------------------------------------------------------------------
-    # golden-trace blobs
+    # golden records
     # ------------------------------------------------------------------
-    def _golden(self, ctx, manager):
-        from ..faultinjection.parallel import (
-            GoldenTrace,
-            compute_golden_trace,
-        )
-        key = ctx.golden_key()
+    def _golden(self, key: str, record) -> GoldenRecord:
+        """The golden record stored under ``key``; on a miss, or when
+        its blob is missing or corrupt, ``record()`` is called once and
+        its result stored."""
         digest = self.db.get_golden(key)
         if digest is not None:
             try:
-                data = json.loads(self.blobs.get(digest))
-                trace = GoldenTrace(
-                    cycles=int(data["cycles"]),
-                    obse_active=tuple(data["obse_active"]),
-                    diag_active=tuple(data["diag_active"]))
+                found = GoldenRecord.from_bytes(self.blobs.get(digest),
+                                                blob=digest)
                 self.stats.golden_hits += 1
-                return trace, digest
+                return found
             except (KeyError, CorruptBlobError, ValueError,
                     TypeError):
-                # missing or corrupt blob: recompute, never crash
+                # missing or corrupt blob: re-record, never crash; a
+                # damaged object must go, or the put below keeps it
+                self.blobs.delete(digest)
                 self.stats.corrupt += 1
-        trace = compute_golden_trace(manager)
-        digest = self.blobs.put(json.dumps({
-            "cycles": trace.cycles,
-            "obse_active": list(trace.obse_active),
-            "diag_active": list(trace.diag_active),
-        }, sort_keys=True).encode())
-        self.db.put_golden(key, digest)
+        fresh = record()
+        fresh.blob = self.blobs.put(fresh.to_bytes())
+        self.db.put_golden(key, fresh.blob)
         self.stats.golden_misses += 1
-        return trace, digest
+        return fresh
+
+    def _golden_trace(self, ctx, manager) -> GoldenTrace:
+        """Golden bits for a campaign whose spec carries none."""
+        stimuli = manager.stimuli[:ctx.cycles]
+        return self._golden(ctx.golden_key(), lambda: record_golden(
+            manager.circuit, stimuli, setup=manager.setup,
+            observation_points=manager.functional + manager.diagnostic)
+        ).golden_trace()
 
 
 def _rebuild(fault, row: OutcomeRow) -> FaultResult:

@@ -14,7 +14,7 @@ Three concerns, three groups of tables:
   ``done`` at the end; a SIGKILLed campaign leaves the marker behind
   (visible in ``store stats``) while all its completed outcomes stay
   reusable.
-* ``golden`` — maps a golden-trace content key to its blob digest.
+* ``golden`` — maps a golden-record content key to its blob digest.
 * ``jobs`` — the durable campaign job queue (:mod:`repro.service`):
   one row per submitted campaign with lease bookkeeping
   (owner/deadline), a retry budget, and the terminal ``done`` /
@@ -531,7 +531,7 @@ class StoreDB:
             "SELECT COUNT(*) FROM shard_attempts").fetchone()[0]
 
     # ------------------------------------------------------------------
-    # golden traces
+    # golden records
     # ------------------------------------------------------------------
     def get_golden(self, key: str) -> str | None:
         row = self._conn.execute(
@@ -706,7 +706,7 @@ class StoreDB:
         return removed
 
     def golden_rows(self) -> list[tuple[str, str]]:
-        """All ``(key, digest)`` pairs of the golden-trace map."""
+        """All ``(key, digest)`` pairs of the golden-record map."""
         return self._conn.execute(
             "SELECT key, digest FROM golden").fetchall()
 

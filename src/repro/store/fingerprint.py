@@ -45,6 +45,7 @@ import json
 from dataclasses import fields
 
 from ..faultinjection.faults import Fault
+from ..faultinjection.profiler import RECORD_FORMAT
 from ..hdl.netlist import OP_NAMES, Circuit
 from ..zones.model import ObservationPoint, SensibleZone
 
@@ -332,15 +333,22 @@ class FingerprintContext:
             "zones": sorted(self._zones),
         })
 
-    def golden_key(self) -> str:
-        """Content address of the fault-free (golden) trace."""
+    def golden_key(self, read_strobes: dict[str, str] | None = None
+                   ) -> str:
+        """Content address of the
+        :class:`~repro.faultinjection.profiler.GoldenRecord` of this
+        environment's fault-free run: everything the replay reads.
+        ``read_strobes`` shape the recorded memory traffic, so they
+        enter too."""
         return digest({
             "v": FP_VERSION,
-            "kind": "golden_trace",
+            "kind": "golden_record",
+            "format": RECORD_FORMAT,
             "circuit": self.support.full_fingerprint(),
             "stimuli": self.stimuli_fp,
             "setup": self.setup_fp,
             "obs": self.obs_fp,
+            "strobes": sorted((read_strobes or {}).items()),
         })
 
     def fault_fingerprint(self, fault: Fault) -> str:

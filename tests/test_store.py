@@ -326,3 +326,170 @@ def test_unsnapshottable_setup_bypasses_store(env, candidates,
         manager.run(candidates, cache=cache)
         assert cache.stats.uncacheable == len(candidates.faults)
         assert cache.db.outcome_count() == 0
+
+
+# ----------------------------------------------------------------------
+# the golden record: one fault-free run, content-addressed
+# ----------------------------------------------------------------------
+def _counting_recorder(monkeypatch):
+    """Count the simulators ``record_golden`` builds in this process."""
+    from repro.faultinjection import profiler
+    built = []
+
+    class Counting(profiler.Simulator):
+        def __init__(self, *args, **kw):
+            built.append(1)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(profiler, "Simulator", Counting)
+    return built
+
+
+def _service_run(root, **kw):
+    from repro.service.core import CampaignRequest, CampaignService
+    cache = CampaignCache(root)
+    outcome = CampaignService(root).run_campaign(
+        CampaignRequest(variant="small-improved", **kw), cache=cache)
+    assert outcome.exit_code == 0, outcome.err
+    return outcome, cache.stats
+
+
+def test_warm_rerun_simulates_nothing_fault_free(tmp_path, monkeypatch):
+    built = _counting_recorder(monkeypatch)
+    cold, stats = _service_run(tmp_path / "store")
+    assert len(built) == 1                  # one replay: OP + golden
+    assert (stats.golden_hits, stats.golden_misses) == (0, 1)
+    assert "golden record: miss (recorded once)" in \
+        cold.out.splitlines()
+
+    built.clear()
+    warm, stats = _service_run(tmp_path / "store")
+    assert built == []                      # nothing fault-free at all
+    assert stats.simulated == 0
+    assert (stats.golden_hits, stats.golden_misses) == (1, 0)
+    assert "golden record: hit" in warm.out.splitlines()
+    assert (warm.measured_dc, warm.safe_fraction) == \
+        (cold.measured_dc, cold.safe_fraction)
+
+
+def test_no_cache_run_records_once(tmp_path, monkeypatch):
+    built = _counting_recorder(monkeypatch)
+    from repro.service.core import CampaignRequest, CampaignService
+    outcome = CampaignService(tmp_path / "store").run_campaign(
+        CampaignRequest(variant="small-improved", use_cache=False))
+    assert outcome.exit_code == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("damage", ["corrupt", "missing"])
+def test_damaged_golden_record_is_rerecorded(tmp_path, candidates,
+                                             damage):
+    store = tmp_path / "store"
+    cold, _ = _service_run(store)
+    with CampaignCache(store) as cache:
+        [(_, digest)] = cache.db.golden_rows()
+        path = cache.blobs.path_for(digest)
+    if damage == "corrupt":
+        path.write_bytes(b"junk")
+    else:
+        path.unlink()
+
+    # the fault list derived from the re-recorded OP is unchanged
+    sub = MemorySubsystem(SubsystemConfig.small_improved())
+    with CampaignCache(store) as cache:
+        fresh = build_environment(sub, quick=True)
+        fresh.golden_record(cache)
+        assert cache.stats.corrupt == 1
+        assert cache.stats.golden_misses == 1
+        assert [fault_descriptor(f) for f in fresh.candidates().faults] \
+            == [fault_descriptor(f) for f in candidates.faults]
+
+    warm, stats = _service_run(store)
+    assert stats.golden_hits == 1 and stats.simulated == 0
+    assert (warm.measured_dc, warm.safe_fraction) == \
+        (cold.measured_dc, cold.safe_fraction)
+
+
+def _golden_lookup(root, edit=None):
+    """(hits, misses) of one golden-record lookup after ``edit(env)``."""
+    env = build_environment(
+        MemorySubsystem(SubsystemConfig.small_improved()), quick=True)
+    if edit is not None:
+        edit(env)
+    with CampaignCache(root) as cache:
+        env.golden_record(cache)
+        return cache.stats.golden_hits, cache.stats.golden_misses
+
+
+def _edit_stimuli_tail(env):
+    last = env.stimuli[-1]
+    name = sorted(last)[0]
+    env.stimuli[-1] = {**last, name: last[name] ^ 1}
+
+
+def _edit_setup_image(env):
+    from repro.faultinjection import MemoryImageSetup, snapshot_setup
+    snap = snapshot_setup(env.circuit, env.setup)
+    images = {name: list(image)
+              for name, image in snap.mem_images.items()}
+    images["memarray/array"][0] ^= 1
+    env.setup = MemoryImageSetup(mem_images=images,
+                                 flop_values=dict(snap.flop_values))
+
+
+def _edit_read_strobe(env):
+    mem = env.circuit.memories[0]
+    env.read_strobes = {mem.name: env.circuit.net_names[mem.we]}
+
+
+@pytest.mark.parametrize("edit", [_edit_stimuli_tail, _edit_setup_image,
+                                  _edit_read_strobe])
+def test_record_inputs_miss_the_key(tmp_path, edit):
+    root = tmp_path / "store"
+    assert _golden_lookup(root) == (0, 1)
+    assert _golden_lookup(root) == (1, 0)
+    assert _golden_lookup(root, edit) == (0, 1)
+
+
+def test_zone_selection_keeps_the_record_key(tmp_path):
+    """The record depends on the workload, not on which zones are
+    injected: a zone-config subset still hits."""
+    def keep_half(env):
+        env.zone_set.zones = env.zone_set.zones[::2]
+
+    root = tmp_path / "store"
+    assert _golden_lookup(root) == (0, 1)
+    assert _golden_lookup(root, keep_half) == (1, 0)
+
+
+def test_gc_sweeps_orphaned_golden_record(tmp_path):
+    """A record whose campaign never finished a run is swept by gc."""
+    root = tmp_path / "store"
+    _golden_lookup(root)
+    with CampaignCache(root) as cache:
+        assert len(cache.db.golden_rows()) == 1
+        result = gc_store(cache, keep_runs=10)
+        assert result.blobs_removed == 1
+        assert cache.db.golden_rows() == []
+        assert len(cache.blobs) == 0
+
+
+def test_fsck_covers_golden_record_blobs(tmp_path):
+    from repro.store import fsck_store
+    store = tmp_path / "store"
+    cold, _ = _service_run(store)
+    with CampaignCache(store) as cache:
+        [(_, digest)] = cache.db.golden_rows()
+        run = cache.db.runs(limit=1)[0]
+        assert run["golden_blob"] == digest
+        assert fsck_store(cache).clean
+        cache.blobs.path_for(digest).unlink()
+        found = fsck_store(cache)
+        assert {"E402", "E403"} <= {d.code for d in found.report.errors}
+        fsck_store(cache, repair=True)
+        assert not fsck_store(cache).report.errors
+
+    warm, stats = _service_run(store)
+    assert stats.golden_misses == 1 and stats.simulated == 0
+    assert (warm.measured_dc, warm.safe_fraction) == \
+        (cold.measured_dc, cold.safe_fraction)
