@@ -802,8 +802,9 @@ def build_parser() -> argparse.ArgumentParser:
                  "instead of quarantining it")
         p.add_argument(
             "--no-supervise", action="store_true",
-            help="run the bare campaign engine without the "
-                 "fault-tolerant supervisor")
+            help="run the shards in-process, one after another, "
+                 "without worker processes or crash/hang "
+                 "containment")
         p.add_argument(
             "--zones", metavar="FILE",
             help="restrict the campaign to a zone-config "

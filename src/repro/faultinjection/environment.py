@@ -246,21 +246,6 @@ class InjectionEnvironment:
         from .parallel import CampaignSpec
         return CampaignSpec.from_environment(self, config=config)
 
-    def runner(self, workers: int | None = None,
-               config: CampaignConfig | None = None, **kw):
-        """A :class:`ParallelCampaignRunner` over this environment."""
-        from .parallel import ParallelCampaignRunner
-        return ParallelCampaignRunner(self.spec(config), workers=workers,
-                                      **kw)
-
-    def supervisor(self, workers: int | None = None,
-                   config: CampaignConfig | None = None, **kw):
-        """A fault-tolerant :class:`CampaignSupervisor` over this
-        environment (see :mod:`~repro.faultinjection.supervisor`)."""
-        from .supervisor import CampaignSupervisor
-        return CampaignSupervisor(self.spec(config), workers=workers,
-                                  **kw)
-
     def validate_stimuli(self) -> None:
         """Raise :class:`StimuliValidationError` on bad stimuli."""
         validate_stimuli(self.circuit, self.stimuli)

@@ -160,16 +160,13 @@ class CampaignResult:
         safe = counts[OUTCOME_SAFE] + counts[OUTCOME_DETECTED_SAFE]
         return safe / len(self.results)
 
-    def merge_run(self, other: "CampaignResult") -> None:
-        """Append another run's raw per-fault output to this one.
+    def merge_counters(self, other: "CampaignResult") -> None:
+        """Add another run's pass/cycle counts and toggle bits.
 
-        Used by the sharded campaign path: per-shard results are
-        concatenated in shard order so the merged ``results`` list is
-        identical to what a single serial run over the same candidate
-        order would produce.  Coverage bookkeeping is *not* merged here
-        — the campaign driver recomputes it over the merged results.
+        The campaign pipeline calls this once per completed shard; the
+        pipeline itself places the shard's per-fault results by
+        candidate index and recomputes the coverage over all of them.
         """
-        self.results.extend(other.results)
         self.passes += other.passes
         self.cycles_simulated += other.cycles_simulated
         if other.seen0 is not None and other.seen1 is not None:
@@ -227,15 +224,25 @@ class FaultInjectionManager:
         """Run the campaign; with ``cache`` (a
         :class:`repro.store.CampaignCache`) previously stored outcomes
         are served from the content-addressed store and only cache
-        misses are simulated — bit-identical either way."""
+        misses are simulated — bit-identical either way.
+
+        Without a cache this is the cache-free reference every
+        differential test compares against; with one, the campaign
+        runs through the campaign pipeline's in-process executor
+        (:class:`~repro.faultinjection.supervisor.CampaignSupervisor`).
+        """
         if cache is not None:
-            return cache.run_serial(self, candidates)
-        start = time.time()
+            from .parallel import CampaignSpec
+            from .supervisor import CampaignSupervisor
+            return CampaignSupervisor(
+                CampaignSpec.from_manager(self), workers=1,
+                cache=cache).run(candidates, in_process=True)
+        start = time.perf_counter()
         result = self.new_result()
         self._init_coverage(result.coverage, candidates)
         self.run_batches(list(candidates.faults), into=result)
         self.fill_coverage(result)
-        result.wall_seconds = time.time() - start
+        result.wall_seconds = time.perf_counter() - start
         return result
 
     def run_batches(self, faults: list[Fault],
@@ -243,12 +250,12 @@ class FaultInjectionManager:
                     track_golden: bool = True) -> CampaignResult:
         """The raw pass loop: simulate ``faults`` in per-pass batches.
 
-        This is the per-shard core shared by :meth:`run` and the
-        worker processes of the parallel campaign runner.  It performs
-        no coverage initialisation or post-processing; when
-        ``track_golden`` is false the golden-activity bookkeeping is
-        skipped too (the parallel runner computes the fault-free trace
-        once and shares it instead of recomputing it per batch).
+        This is the per-shard core shared by :meth:`run` and both
+        executors of the campaign pipeline.  It performs no coverage
+        initialisation or post-processing; when ``track_golden`` is
+        false the golden-activity bookkeeping is skipped too (the
+        pipeline reads the fault-free bits off one golden record
+        instead of recomputing them per batch).
         """
         result = into if into is not None else self.new_result()
         per_pass = self.config.resolved_machines_per_pass()

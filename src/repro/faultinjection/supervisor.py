@@ -29,7 +29,7 @@ the sharded campaign of :mod:`~repro.faultinjection.parallel`:
   runaways deterministically inside the worker, complementing the
   wall-clock timeout;
 * when worker processes cannot be spawned at all the supervisor
-  **degrades to in-process serial execution** as a last resort
+  **degrades to the in-process executor** as a last resort
   (exceptions are still contained and quarantined; crash/hang
   containment needs process isolation and is documented as lost);
 * with a :class:`~repro.store.CampaignCache`, cached outcomes are
@@ -38,6 +38,17 @@ the sharded campaign of :mod:`~repro.faultinjection.parallel`:
   history are recorded in the store's SQLite index, and **known
   poison faults from earlier runs are quarantined up front** so a
   resumed campaign never re-executes them.
+
+:meth:`CampaignSupervisor.run` is the one campaign pipeline (paper §5,
+Figure 4): plan (store hits, known poison, uncacheable specs) →
+execute → merge → finalize (golden bits, coverage, the store's run
+row).  It has two executors: the supervised process-per-shard loop,
+and the in-process executor, which runs the shards one after another
+in the calling process.  The in-process executor serves
+``run(..., in_process=True)`` (``--no-supervise``),
+``FaultInjectionManager.run(candidates, cache=...)`` and the degraded
+mode above.  ``FaultInjectionManager.run`` without a cache stays
+outside the pipeline as the cache-free reference.
 
 Surviving per-fault results are bit-identical to a serial run over
 the non-quarantined faults: per-fault records are independent of pass
@@ -247,12 +258,11 @@ class _Active:
 class CampaignSupervisor:
     """Runs a campaign spec under failure supervision.
 
-    Drop-in sibling of
-    :class:`~repro.faultinjection.parallel.ParallelCampaignRunner`:
-    same spec/workers/shards/progress/cache surface, same
-    bit-identical merged :class:`CampaignResult` on a clean run —
-    plus ``anomalies`` and a :class:`CampaignHealth` section in
-    ``last_stats.summary()`` when something went wrong.
+    ``spec``/``workers``/``shards``/``progress``/``cache`` describe the
+    campaign; the merged :class:`CampaignResult` is bit-identical to a
+    serial run on a clean campaign, and ``anomalies`` plus a
+    :class:`CampaignHealth` section in ``last_stats.summary()`` report
+    what went wrong otherwise.
     """
 
     def __init__(self, spec: CampaignSpec, workers: int | None = None,
@@ -276,24 +286,23 @@ class CampaignSupervisor:
         #: anomalies of the most recent run, in candidate order
         self.anomalies: list[FaultAnomaly] = []
 
-    @classmethod
-    def from_runner(cls, runner,
-                    config: SupervisorConfig | None = None
-                    ) -> "CampaignSupervisor":
-        """Wrap an existing ``ParallelCampaignRunner`` setup."""
-        return cls(runner.spec, workers=runner.workers,
-                   shards=runner.shards, progress=runner.progress,
-                   config=config, cache=runner.cache,
-                   start_method=runner.start_method)
-
     # ------------------------------------------------------------------
-    def run(self, candidates: CandidateList) -> CampaignResult:
+    def run(self, candidates: CandidateList,
+            in_process: bool = False) -> CampaignResult:
+        """Plan, execute, merge and finalize one campaign.
+
+        Shards run in supervised worker processes, or with
+        ``in_process`` one after another in this process (no worker
+        parallelism, no crash/hang containment).
+        """
         start = time.perf_counter()
         faults = list(candidates.faults)
         manager = self.spec.manager()
         health = CampaignHealth()
         self.anomalies = []
         self._faults = faults
+        self._manager = manager
+        self._workers = 1 if in_process else self.workers
         self._health = health
         self._merged: dict[int, FaultResult] = {}
         self._quarantined: dict[int, FaultAnomaly] = {}
@@ -307,7 +316,7 @@ class CampaignSupervisor:
         self._result = result
         manager._init_coverage(result.coverage, candidates)
 
-        stats = CampaignStats(workers=min(self.workers,
+        stats = CampaignStats(workers=min(self._workers,
                                           len(faults)) or 1,
                               total_faults=len(faults))
         stats.health = health
@@ -319,7 +328,15 @@ class CampaignSupervisor:
             self.progress(self._done_count(), self._total)
 
         if miss_indices:
-            self._execute(miss_indices)
+            pending = deque(
+                _ShardJob(indices=tuple(shard))
+                for shard in shard_candidates(
+                    miss_indices, self._shard_count(miss_indices))
+                if shard)
+            if in_process:
+                self._run_in_process(pending)
+            else:
+                self._execute(pending)
 
         golden_seconds = 0.0
         golden_digest = None
@@ -374,7 +391,7 @@ class CampaignSupervisor:
             self._merged[i] = _rebuild(faults[i], row)
         miss_indices = list(plan.misses)
         run_id = self.cache._begin(ctx, manager, faults,
-                                   workers=self.workers)
+                                   workers=self._workers)
         if self.config.skip_known_poison and miss_indices:
             known = self.cache.db.get_anomalies(
                 [plan.fingerprints[i] for i in miss_indices])
@@ -421,13 +438,9 @@ class CampaignSupervisor:
     # ------------------------------------------------------------------
     # the supervised execution loop
     # ------------------------------------------------------------------
-    def _execute(self, miss_indices: list[int]) -> None:
+    def _execute(self, pending: deque) -> None:
+        """The supervised executor: one worker process per shard."""
         cfg = self.config
-        index_shards = shard_candidates(miss_indices,
-                                        self._shard_count(miss_indices))
-        pending: deque[_ShardJob] = deque(
-            _ShardJob(indices=tuple(shard))
-            for shard in index_shards if shard)
         active: list[_Active] = []
         self._degraded = False
 
@@ -448,11 +461,7 @@ class CampaignSupervisor:
                     active.append(handle)
 
                 if self._degraded and not active:
-                    # one shard per tick so the heartbeat keeps firing
-                    # between in-process shard runs
-                    if pending:
-                        self._run_in_process(pending,
-                                             pending.popleft())
+                    self._run_in_process(pending)
                     continue
 
                 if not active:
@@ -536,10 +545,10 @@ class CampaignSupervisor:
         if self.shards is not None:
             return self.shards
         if self.cache is None or self._fingerprints is None:
-            return self.workers
+            return self._workers
         chunk = max(1, self.spec.config.resolved_machines_per_pass()
                     * self.cache.flush_passes)
-        return max(self.workers, -(-len(miss_indices) // chunk))
+        return max(self._workers, -(-len(miss_indices) // chunk))
 
     @staticmethod
     def _next_ready(pending: deque, now: float) -> _ShardJob | None:
@@ -591,31 +600,36 @@ class CampaignSupervisor:
         finally:
             handle.conn.close()
 
-    def _run_in_process(self, pending: deque, job: _ShardJob) -> None:
-        """Degraded mode: run the shard in this process.
+    def _run_in_process(self, pending: deque) -> None:
+        """The in-process executor: run every pending shard here.
 
-        Exceptions (including cycle-budget hangs) are still contained
-        and feed the same retry/bisect/quarantine path; crashes and
-        wall-clock hangs cannot be contained without process
-        isolation.
+        Shards run one at a time on the campaign's own manager, with
+        the heartbeat firing between them.  Exceptions (including
+        cycle-budget hangs) are still contained and feed the same
+        retry/bisect/quarantine path; crashes and wall-clock hangs
+        cannot be contained without process isolation.
         """
-        start = time.perf_counter()
-        try:
-            part = self.spec.manager().run_batches(
-                [self._faults[i] for i in job.indices],
-                track_golden=False)
-        except Exception as exc:
-            if type(exc).__name__ in _HANG_EXCEPTIONS:
-                kind = ANOMALY_HANG
-                self._health.hangs += 1
-            else:
-                kind = ANOMALY_EXCEPTION
-                self._health.exceptions += 1
-            self._failure(pending, job, kind, traceback.format_exc(),
-                          os.getpid(), time.perf_counter() - start)
-            return
-        self._complete(job, os.getpid(), part,
-                       time.perf_counter() - start)
+        while pending:
+            self._beat()
+            job = pending.popleft()
+            start = time.perf_counter()
+            try:
+                part = self._manager.run_batches(
+                    [self._faults[i] for i in job.indices],
+                    track_golden=False)
+            except Exception as exc:
+                if type(exc).__name__ in _HANG_EXCEPTIONS:
+                    kind = ANOMALY_HANG
+                    self._health.hangs += 1
+                else:
+                    kind = ANOMALY_EXCEPTION
+                    self._health.exceptions += 1
+                self._failure(pending, job, kind,
+                              traceback.format_exc(), os.getpid(),
+                              time.perf_counter() - start)
+                continue
+            self._complete(job, os.getpid(), part,
+                           time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     # outcome handling
@@ -624,8 +638,7 @@ class CampaignSupervisor:
                   part: CampaignResult, seconds: float) -> None:
         for i, res in zip(job.indices, part.results):
             self._merged[i] = res
-        self._result.passes += part.passes
-        self._result.cycles_simulated += part.cycles_simulated
+        self._result.merge_counters(part)
         self._stats.shards.append(ShardStats(
             shard=self._shard_seq, worker=pid,
             faults=len(part.results), passes=part.passes,

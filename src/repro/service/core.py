@@ -331,10 +331,7 @@ class CampaignService:
             validate_stimuli,
         )
         from ..faultinjection.manager import CampaignConfig
-        from ..faultinjection.parallel import (
-            CampaignSpec,
-            ParallelCampaignRunner,
-        )
+        from ..faultinjection.parallel import CampaignSpec
         from ..faultinjection.supervisor import (
             CampaignAborted,
             CampaignSupervisor,
@@ -425,35 +422,27 @@ class CampaignService:
             engine=request.engine)
         spec = CampaignSpec.from_environment(env, config=config)
         spec.golden = record.golden_trace(config.max_cycles)
-        anomalies = []
-        health = None
-        if not request.supervise:
-            runner = ParallelCampaignRunner(
-                spec, workers=request.workers, shards=request.shards,
-                progress=progress, cache=cache)
-            campaign = runner.run(candidates)
-        else:
-            runner = CampaignSupervisor(
-                spec, workers=request.workers, shards=request.shards,
-                progress=progress, cache=cache,
-                config=SupervisorConfig(
-                    shard_timeout=request.shard_timeout,
-                    cycle_budget=request.cycle_budget,
-                    max_retries=request.max_retries,
-                    quarantine=request.quarantine,
-                    heartbeat=heartbeat,
-                    heartbeat_interval=heartbeat_interval))
-            try:
-                campaign = runner.run(candidates)
-            except CampaignAborted as exc:
-                err.append(f"error: campaign aborted: {exc}")
-                if cache is not None:
-                    cache.close()
-                return outcome(EXIT_FAILURE,
-                               design=sub.cfg.name)
-            anomalies = runner.anomalies
-            health = runner.last_stats.health \
-                if runner.last_stats is not None else None
+        runner = CampaignSupervisor(
+            spec, workers=request.workers, shards=request.shards,
+            progress=progress, cache=cache,
+            config=SupervisorConfig(
+                shard_timeout=request.shard_timeout,
+                cycle_budget=request.cycle_budget,
+                max_retries=request.max_retries,
+                quarantine=request.quarantine,
+                heartbeat=heartbeat,
+                heartbeat_interval=heartbeat_interval))
+        try:
+            campaign = runner.run(candidates,
+                                  in_process=not request.supervise)
+        except CampaignAborted as exc:
+            err.append(f"error: campaign aborted: {exc}")
+            if cache is not None:
+                cache.close()
+            return outcome(EXIT_FAILURE,
+                           design=sub.cfg.name)
+        anomalies = runner.anomalies
+        health = runner.last_stats.health
 
         counts = campaign.outcomes()
         rows = [[name, count, pct(count / len(campaign.results))
@@ -467,8 +456,7 @@ class CampaignService:
                    f"{pct(campaign.measured_dc())}")
         out.append(f"measured safe fraction: "
                    f"{pct(campaign.measured_safe_fraction())}")
-        if runner.last_stats is not None:
-            out.append(runner.last_stats.summary())
+        out.append(runner.last_stats.summary())
         if anomalies:
             from ..reporting.health import render_campaign_health
             out.append(render_campaign_health(campaign, anomalies,

@@ -312,14 +312,8 @@ class FingerprintContext:
         be snapshotted (it programs fault overlays) — such a campaign
         is not content-addressable and must bypass the cache.
         """
-        from ..faultinjection.parallel import snapshot_setup
-        zones = list(manager.zone_set.zones) \
-            if manager.zone_set is not None else []
-        points = (manager.functional + manager.status
-                  + manager.diagnostic)
-        return cls(manager.circuit, manager.stimuli, zones, points,
-                   setup=snapshot_setup(manager.circuit, manager.setup),
-                   max_cycles=manager.config.max_cycles)
+        from ..faultinjection.parallel import CampaignSpec
+        return cls.from_spec(CampaignSpec.from_manager(manager))
 
     # ------------------------------------------------------------------
     def environment_fingerprint(self) -> str:

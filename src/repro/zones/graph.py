@@ -15,11 +15,18 @@ graph behind Figures 1-3.  Useful for:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .effects import EffectPredictor
 from .extractor import ZoneSet
 from .model import ObservationKind, ZoneKind
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+# networkx is imported inside the functions that need it: this module
+# is loaded at CLI start, and networkx alone roughly doubles the
+# number of modules an import of the CLI pulls in.
 
 
 def build_zone_graph(zone_set: ZoneSet,
@@ -32,6 +39,7 @@ def build_zone_graph(zone_set: ZoneSet,
     reaches the observation point; the ``distance`` attribute is the
     minimum number of register crossings.
     """
+    import networkx as nx
     graph = nx.DiGraph()
     predictor = EffectPredictor(zone_set.circuit,
                                 zone_set.observation_points)
@@ -105,6 +113,7 @@ def checker_placement_candidates(zone_set: ZoneSet,
     such funnels: after the coder, after the decoder pipeline).
     Computed on the net-level graph projected to zones.
     """
+    import networkx as nx
     graph = build_zone_graph(zone_set)
     centrality = nx.betweenness_centrality(graph)
     zones = [(node, score) for node, score in centrality.items()
@@ -115,4 +124,5 @@ def checker_placement_candidates(zone_set: ZoneSet,
 
 def export_graphml(zone_set: ZoneSet, path) -> None:
     """Write the zone graph for external visualization tools."""
+    import networkx as nx
     nx.write_graphml(build_zone_graph(zone_set), path)
