@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import Simulator
 from ..zones.extractor import ZoneSet
-from ..zones.model import ObservationPoint, SensibleZone, ZoneKind
+from ..zones.model import ObservationPoint, SensibleZone, ZoneKind, \
+    observation_groups
 from .faultlist import CandidateList
 from .faults import Fault
 from .monitors import CoverageCollection
@@ -196,13 +197,8 @@ class FaultInjectionManager:
             if zone_set is None:
                 raise ValueError("need zone_set or observation_points")
             observation_points = zone_set.observation_points
-        from ..zones.model import ObservationKind
-        self.functional = [p for p in observation_points
-                           if p.kind is ObservationKind.OUTPUT]
-        self.status = [p for p in observation_points
-                       if p.kind is ObservationKind.FUNCTION]
-        self.diagnostic = [p for p in observation_points
-                           if p.is_diagnostic]
+        self.functional, self.status, self.diagnostic = \
+            observation_groups(observation_points)
         self.zone_set = zone_set
         self._zones_by_name: dict[str, SensibleZone] = {}
         if zone_set is not None:

@@ -32,8 +32,8 @@ from typing import NamedTuple
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import Simulator
 from ..zones.extractor import ZoneSet
-from ..zones.model import ObservationKind, ObservationPoint, \
-    SensibleZone, ZoneKind
+from ..zones.model import ObservationPoint, SensibleZone, ZoneKind, \
+    observation_groups
 
 #: Bump when the recorded content or the :meth:`GoldenRecord.to_bytes`
 #: encoding changes — the store key embeds it, so stored records of an
@@ -233,10 +233,9 @@ def record_golden(circuit: Circuit, stimuli, setup=None,
     flop_names = [flop.name for flop in circuit.flops]
     prev_outs = prev_flops = None
     # points drop out of these once their first cycle is known
-    func_open = {p.name: list(p.nets) for p in observation_points
-                 if p.kind is ObservationKind.OUTPUT}
-    diag_open = {p.name: list(p.nets) for p in observation_points
-                 if p.is_diagnostic}
+    functional, _, diagnostic = observation_groups(observation_points)
+    func_open = {p.name: list(p.nets) for p in functional}
+    diag_open = {p.name: list(p.nets) for p in diagnostic}
     func_prev: dict[str, int] = {}
     obse_first: dict[str, int] = {}
     diag_first: dict[str, int] = {}

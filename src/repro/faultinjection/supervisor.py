@@ -121,9 +121,6 @@ class SupervisorConfig:
     #: isolate poison faults and complete the campaign without them;
     #: when off, an inexecutable fault raises :class:`CampaignAborted`
     quarantine: bool = True
-    #: with a cache: pre-quarantine faults whose fingerprint already
-    #: has a recorded anomaly instead of re-executing them
-    skip_known_poison: bool = True
     #: fall back to in-process serial execution when worker processes
     #: cannot be spawned (last resort; crash/hang containment is lost)
     degrade_in_process: bool = True
@@ -268,7 +265,7 @@ class CampaignSupervisor:
     def __init__(self, spec: CampaignSpec, workers: int | None = None,
                  shards: int | None = None, progress=None,
                  config: SupervisorConfig | None = None,
-                 cache=None, start_method: str | None = None):
+                 cache=None):
         if workers is not None and workers < 1:
             raise ValueError("need at least one worker")
         self.config = config or SupervisorConfig()
@@ -281,7 +278,6 @@ class CampaignSupervisor:
         self.shards = shards
         self.progress = SafeProgress.wrap(progress)
         self.cache = cache
-        self.start_method = start_method
         self.last_stats: CampaignStats | None = None
         #: anomalies of the most recent run, in candidate order
         self.anomalies: list[FaultAnomaly] = []
@@ -392,7 +388,9 @@ class CampaignSupervisor:
         miss_indices = list(plan.misses)
         run_id = self.cache._begin(ctx, manager, faults,
                                    workers=self._workers)
-        if self.config.skip_known_poison and miss_indices:
+        # pre-quarantine faults whose fingerprint already has a
+        # recorded anomaly instead of re-executing them
+        if miss_indices:
             known = self.cache.db.get_anomalies(
                 [plan.fingerprints[i] for i in miss_indices])
             still = []
@@ -534,20 +532,19 @@ class CampaignSupervisor:
         """Default shard count for this run.
 
         With a store attached, shards are capped at the simulator's
-        pass size times the store's flush granularity so completed
-        work persists incrementally (a SIGKILLed campaign resumes
-        from the last flushed shard, not from zero) — and since a
-        pass simulates ``machines_per_pass`` faults at once anyway,
-        slicing at pass boundaries leaves the total pass count (and
-        cost) identical to a serial run.  Without a store nothing is
-        flushed, so one shard per worker minimizes overhead.
+        pass size so completed work persists incrementally (a
+        SIGKILLed campaign resumes from the last flushed shard, not
+        from zero) — and since a pass simulates ``machines_per_pass``
+        faults at once anyway, slicing at pass boundaries leaves the
+        total pass count (and cost) identical to a serial run.
+        Without a store nothing is flushed, so one shard per worker
+        minimizes overhead.
         """
         if self.shards is not None:
             return self.shards
         if self.cache is None or self._fingerprints is None:
             return self._workers
-        chunk = max(1, self.spec.config.resolved_machines_per_pass()
-                    * self.cache.flush_passes)
+        chunk = self.spec.config.resolved_machines_per_pass()
         return max(self._workers, -(-len(miss_indices) // chunk))
 
     @staticmethod
@@ -575,7 +572,7 @@ class CampaignSupervisor:
             return None
 
     def _spawn(self, job: _ShardJob) -> _Active:
-        mp = get_context(self.start_method or _default_start_method())
+        mp = get_context(_default_start_method())
         recv_conn, send_conn = mp.Pipe(duplex=False)
         process = mp.Process(
             target=_supervised_worker,

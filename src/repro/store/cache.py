@@ -76,15 +76,12 @@ class CampaignPlan:
 class CampaignCache:
     """Content-addressed campaign store under one root directory."""
 
-    def __init__(self, path, flush_passes: int = 1):
+    def __init__(self, path):
         from pathlib import Path
         self.root = Path(path)
         self.root.mkdir(parents=True, exist_ok=True)
         self.blobs = BlobStore(self.root)
         self.db = StoreDB(self.root / "store.db")
-        #: simulated passes per persistence flush — 1 gives the finest
-        #: crash-safe resume granularity
-        self.flush_passes = max(1, flush_passes)
         self.stats = CacheStats()
         self.last_run_id: int | None = None
 

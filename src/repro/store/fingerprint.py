@@ -47,7 +47,8 @@ from dataclasses import fields
 from ..faultinjection.faults import Fault
 from ..faultinjection.profiler import RECORD_FORMAT
 from ..hdl.netlist import OP_NAMES, Circuit
-from ..zones.model import ObservationPoint, SensibleZone
+from ..zones.model import ObservationPoint, SensibleZone, \
+    observation_groups
 
 #: Bump when the fingerprint semantics change — every digest embeds it,
 #: so stores written by older layouts simply miss instead of colliding.
@@ -77,14 +78,15 @@ def fault_descriptor(fault: Fault) -> dict:
 # support cones
 # ----------------------------------------------------------------------
 class SupportIndex:
-    """Per-seed support cones of a circuit, with cached fingerprints.
+    """Support cones of a circuit, each fingerprinted once.
 
     The support of a seed set is the fan-in closure of its fan-out
     closure, both taken *through* flip-flops and memory macros: a
     flipped flop perturbs everything downstream of its ``q``; the value
     observed anywhere in that downstream region depends on the full
     fan-in of the region (including golden write streams into any
-    memory the fault can touch).
+    memory the fault can touch).  Many seed sets close to the same
+    cone, so :meth:`fingerprint` memoizes per cone, not per seed set.
     """
 
     def __init__(self, circuit: Circuit):
@@ -97,7 +99,7 @@ class SupportIndex:
         self._net_index: dict[str, int] = {}
         for i, name in enumerate(circuit.net_names):
             self._net_index.setdefault(name, i)
-        self._fp_cache: dict[tuple, str] = {}
+        self._cone_fp: dict[tuple, str] = {}
         self._full_fp: str | None = None
 
     # ------------------------------------------------------------------
@@ -184,20 +186,14 @@ class SupportIndex:
                 pull_mem(desc[1])
         return out_nets, out_mems
 
-    def support(self, nets: set[int], mems: set[int]
-                ) -> tuple[frozenset[int], frozenset[int]]:
-        fwd_nets, fwd_mems = self.forward_closure(nets, mems)
-        sup_nets, sup_mems = self.backward_closure(fwd_nets, fwd_mems)
-        return frozenset(sup_nets), frozenset(sup_mems)
-
     # ------------------------------------------------------------------
-    def fingerprint(self, nets: set[int], mems: set[int]) -> str:
-        """Content address of the sub-circuit supporting the seeds."""
-        key = (frozenset(nets), frozenset(mems))
-        cached = self._fp_cache.get(key)
+    def fingerprint(self, sup_nets: frozenset[int],
+                    sup_mems: frozenset[int]) -> str:
+        """Content address of the sub-circuit of one support cone."""
+        key = (sup_nets, sup_mems)
+        cached = self._cone_fp.get(key)
         if cached is None:
-            cached = digest(self._canonical(*self.support(*key)))
-            self._fp_cache[key] = cached
+            cached = self._cone_fp[key] = digest(self._canonical(*key))
         return cached
 
     def full_fingerprint(self) -> str:
@@ -260,17 +256,15 @@ class FingerprintContext:
         self.stimuli_fp = digest(
             [sorted(cycle.items()) for cycle in effective])
         self.cycles = len(effective)
-        self.setup_fp = _setup_canonical(setup)
-        # only reachable after _setup_canonical accepted it: None or a
+        self.setup_fp = _setup_digest(setup)
+        # only reachable after _setup_digest accepted it: None or a
         # MemoryImageSetup snapshot (restricted per fault below)
         self._setup = setup
-        # The manager partitions points into functional / status /
-        # diagnostic groups; only the order *within* each group is
-        # behavioural (``first_alarm`` ties break on the earlier
-        # diagnostic entry).  Canonicalising the same stable partition
-        # makes every entry point that interleaves the groups
-        # differently produce the same address.
-        from ..zones.model import ObservationKind
+        # The manager compares the points by observation_groups(); only
+        # the order *within* each group is behavioural (``first_alarm``
+        # ties break on the earlier diagnostic entry).  Canonicalising
+        # the same partition makes every entry point that interleaves
+        # the groups differently produce the same address.
 
         def canon(point):
             return [point.name, point.kind.value,
@@ -281,14 +275,8 @@ class FingerprintContext:
         # subsequence per fault without re-deriving either.
         self._obs_groups = [
             (group, [(canon(p), frozenset(p.nets)) for p in points])
-            for group, points in (
-                ("functional", [p for p in observation_points
-                                if p.kind is ObservationKind.OUTPUT]),
-                ("status", [p for p in observation_points
-                            if p.kind is ObservationKind.FUNCTION]),
-                ("diagnostic", [p for p in observation_points
-                                if p.is_diagnostic]),
-            )]
+            for group, points
+            in observation_groups(observation_points)._asdict().items()]
         self.obs_fp = digest({group: [entry for entry, _ in entries]
                               for group, entries in self._obs_groups})
         self.support = SupportIndex(circuit)
@@ -374,28 +362,6 @@ class FingerprintContext:
                     if nets & fwd_nets]
             for group, entries in self._obs_groups})
 
-    def _restricted_setup_fp(self, sup_nets: set[int],
-                             sup_mems: set[int]) -> str | None:
-        """Digest of the setup state inside the support cone.
-
-        A preload image or initial flop value outside the cone drives
-        no net the fault's record depends on (anything that could is in
-        the backward closure by construction).
-        """
-        if self._setup is None:
-            return self.setup_fp
-        mem_names = {self.circuit.memories[i].name for i in sup_mems}
-        flop_names = {f.name for f in self.circuit.flops
-                      if f.q in sup_nets}
-        return digest({
-            "mem_images": {name: list(image) for name, image
-                           in sorted(self._setup.mem_images.items())
-                           if name in mem_names},
-            "flop_values": {name: value for name, value
-                            in sorted(self._setup.flop_values.items())
-                            if name in flop_names},
-        })
-
     def _zone_support(self, fault: Fault
                       ) -> tuple[str, dict | None, str, str | None]:
         zone = self._zones.get(fault.zone) \
@@ -434,10 +400,16 @@ class FingerprintContext:
                                                               mems)
             sup_nets, sup_mems = self.support.backward_closure(
                 fwd_nets, fwd_mems)
-            support_fp = digest(self.support._canonical(
-                frozenset(sup_nets), frozenset(sup_mems)))
+            support_fp = self.support.fingerprint(frozenset(sup_nets),
+                                                  frozenset(sup_mems))
             obs_fp = self._reachable_obs_fp(fwd_nets)
-            setup_fp = self._restricted_setup_fp(sup_nets, sup_mems)
+            # setup state outside the cone (a preload image, an initial
+            # flop value) drives no net the record depends on: anything
+            # that could is in the backward closure by construction
+            setup_fp = _setup_digest(
+                self._setup,
+                {self.circuit.memories[i].name for i in sup_mems},
+                {f.name for f in self.circuit.flops if f.q in sup_nets})
         else:
             # unknown target or empty seed set: the only sound cone is
             # the whole circuit, observed everywhere with full state
@@ -470,16 +442,21 @@ def _zone_canonical(zone: SensibleZone, circuit: Circuit) -> dict:
     }
 
 
-def _setup_canonical(setup) -> str | None:
-    """Canonical digest of a (snapshotted) simulator setup."""
+def _setup_digest(setup, mems: set[str] | None = None,
+                  flops: set[str] | None = None) -> str | None:
+    """Digest of a (snapshotted) simulator setup, restricted to the
+    named memories and flops (all of them when ``None``)."""
     if setup is None:
         return None
     from ..faultinjection.parallel import MemoryImageSetup
     if isinstance(setup, MemoryImageSetup):
         return digest({
             "mem_images": {name: list(image) for name, image
-                           in sorted(setup.mem_images.items())},
-            "flop_values": dict(sorted(setup.flop_values.items())),
+                           in setup.mem_images.items()
+                           if mems is None or name in mems},
+            "flop_values": {name: value for name, value
+                            in setup.flop_values.items()
+                            if flops is None or name in flops},
         })
     raise ValueError(
         f"cannot fingerprint setup {setup!r}: snapshot it with "

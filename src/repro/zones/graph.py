@@ -111,10 +111,34 @@ def checker_placement_candidates(zone_set: ZoneSet,
     High-betweenness zones funnel many failure-propagation paths — the
     natural places to add checkers (the §6 redesign put them exactly at
     such funnels: after the coder, after the decoder pipeline).
-    Computed on the net-level graph projected to zones.
+    Computed on the net-level graph projected to zones: besides the
+    zone -> observation-point edges of :func:`build_zone_graph`, zone A
+    -> zone B when a state net of A (a flop ``q``, the memory read
+    data, or A's own nets) feeds the logic cone in front of B.
+    Without those zone -> zone edges no shortest path has an interior
+    node and every score is 0.
     """
     import networkx as nx
+
+    from .cones import ConeAnalyzer
     graph = build_zone_graph(zone_set)
+    circuit = zone_set.circuit
+    flop_q = {f.name: f.q for f in circuit.flops}
+    rdata = {m.name: m.rdata for m in circuit.memories}
+    graph_zones = [z for z in zone_set.zones
+                   if graph.nodes.get(z.name, {}).get("kind") == "zone"]
+    owners: dict[int, set[str]] = {}
+    for zone in graph_zones:
+        state = {*zone.nets, *(flop_q[f] for f in zone.flops),
+                 *rdata.get(zone.memory, ())}
+        for net in state:
+            owners.setdefault(net, set()).add(zone.name)
+    analyzer = ConeAnalyzer(circuit)
+    for zone in graph_zones:
+        for net in analyzer.cone_of_zone_inputs(zone).boundary_nets:
+            for source in owners.get(net, ()):
+                if source != zone.name:
+                    graph.add_edge(source, zone.name)
     centrality = nx.betweenness_centrality(graph)
     zones = [(node, score) for node, score in centrality.items()
              if graph.nodes[node].get("kind") == "zone"]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class ZoneKind(str, Enum):
@@ -105,6 +106,29 @@ class ObservationPoint:
     @property
     def is_diagnostic(self) -> bool:
         return self.kind is ObservationKind.ALARM
+
+
+class ObservationGroups(NamedTuple):
+    """The observation points a campaign compares, by role."""
+
+    functional: list[ObservationPoint]
+    status: list[ObservationPoint]
+    diagnostic: list[ObservationPoint]
+
+
+def observation_groups(points) -> ObservationGroups:
+    """Split ``points`` into functional (``OUTPUT``), status
+    (``FUNCTION``) and diagnostic (``ALARM``) points.
+
+    Each group keeps the order of ``points``: ``first_alarm`` ties
+    break on the earlier diagnostic entry, so the order is behaviour
+    (and part of a fault's store address).  ``ZONE`` points are not
+    compared by a campaign.
+    """
+    return ObservationGroups(
+        *([p for p in points if p.kind is kind]
+          for kind in (ObservationKind.OUTPUT, ObservationKind.FUNCTION,
+                       ObservationKind.ALARM)))
 
 
 @dataclass(frozen=True)
