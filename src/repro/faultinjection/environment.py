@@ -188,6 +188,7 @@ class InjectionEnvironment:
         self.read_strobes = read_strobes or {}
         self.test_windows = tuple(test_windows)
         self._record: GoldenRecord | None = None
+        self._stimuli_digest = None
 
     # ------------------------------------------------------------------
     def golden_record(self, cache=None) -> GoldenRecord:
@@ -219,8 +220,19 @@ class InjectionEnvironment:
             return None
         return FingerprintContext(
             self.circuit, self.stimuli, [],
-            self.zone_set.observation_points,
-            setup=setup).golden_key(self.read_strobes)
+            self.zone_set.observation_points, setup=setup,
+            stimuli_digest=self.stimuli_digest()).golden_key(
+                self.read_strobes)
+
+    def stimuli_digest(self):
+        """The :class:`~repro.store.fingerprint.StimuliDigest` of the
+        current stimuli, shared by the golden key and the campaign
+        spec so the workload is encoded once."""
+        from ..store.fingerprint import StimuliDigest
+        if self._stimuli_digest is None \
+                or self._stimuli_digest.stimuli is not self.stimuli:
+            self._stimuli_digest = StimuliDigest(self.stimuli)
+        return self._stimuli_digest
 
     def profile(self) -> OperationalProfile:
         """The (cached) operational profile of the workload."""

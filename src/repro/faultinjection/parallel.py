@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import Simulator
@@ -47,6 +48,9 @@ from .manager import (
     FaultInjectionManager,
 )
 from .profiler import GoldenTrace, record_golden
+
+if TYPE_CHECKING:
+    from ..store.fingerprint import StimuliDigest
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +150,10 @@ class CampaignSpec:
     #: golden activity bits read off the workload's recorded run;
     #: ``None`` makes the runner compute them once
     golden: GoldenTrace | None = None
+    #: digests of the stimuli, shared with the environment the spec
+    #: came from; ``None`` makes the fingerprint context encode them
+    stimuli_digest: StimuliDigest | None = field(
+        default=None, compare=False, repr=False)
 
     @classmethod
     def from_environment(cls, env, config: CampaignConfig | None = None
@@ -160,7 +168,8 @@ class CampaignSpec:
                    observation_points=list(
                        env.zone_set.observation_points),
                    config=config,
-                   setup=snapshot_setup(env.circuit, env.setup))
+                   setup=snapshot_setup(env.circuit, env.setup),
+                   stimuli_digest=env.stimuli_digest())
 
     @classmethod
     def from_zone_set(cls, circuit: Circuit, stimuli, zone_set: ZoneSet,

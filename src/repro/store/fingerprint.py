@@ -85,21 +85,39 @@ class SupportIndex:
     flipped flop perturbs everything downstream of its ``q``; the value
     observed anywhere in that downstream region depends on the full
     fan-in of the region (including golden write streams into any
-    memory the fault can touch).  Many seed sets close to the same
-    cone, so :meth:`fingerprint` memoizes per cone, not per seed set.
+    memory the fault can touch).
+
+    Both closures come from one sweep per circuit (:meth:`_sweep`, run
+    on the first query).  The net graph has a node per net and one per
+    memory macro (``addr``/``wdata``/``we`` -> memory -> ``rdata``);
+    flops are edges ``d``/``en``/``rst`` -> ``q``.  Its strongly
+    connected components are condensed, and each component gets its
+    descendant set as a big-int node bitset (bit ``n`` for net ``n``,
+    bit ``num_nets + i`` for memory ``i``).  A seed set's forward
+    closure is then the OR of its seeds' descendant sets, and its
+    support the OR of the ancestor sets of the components in that
+    forward set.  Many seed sets close to the same cone, so supports
+    are memoized per forward set and digests per support.
     """
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self._fanout = circuit.fanout_map()
-        self._drivers = circuit.driver_map()
+        self._nnets = circuit.num_nets
         self._mem_index = {m.name: i
                            for i, m in enumerate(circuit.memories)}
         self._flop_q = {f.name: f.q for f in circuit.flops}
         self._net_index: dict[str, int] = {}
         for i, name in enumerate(circuit.net_names):
             self._net_index.setdefault(name, i)
-        self._cone_fp: dict[tuple, str] = {}
+        # filled by _sweep(): node -> component, component -> its
+        # descendant bitset, and the ancestor bitset of every sink
+        # component keyed by one member node (marked in _sink_nodes)
+        self._comp_of: list[int] | None = None
+        self._desc: list[int] = []
+        self._sink_anc: dict[int, int] = {}
+        self._sink_nodes = 0
+        self._support_of: dict[int, int] = {}
+        self._cone_fp: dict[int, str] = {}
         self._full_fp: str | None = None
 
     # ------------------------------------------------------------------
@@ -117,83 +135,94 @@ class SupportIndex:
             return self._net_index[name], None
         return None, None
 
-    def forward_closure(self, nets: set[int], mems: set[int]
-                        ) -> tuple[set[int], set[int]]:
-        circuit = self.circuit
-        out_nets = set(nets)
-        out_mems = set(mems)
-        queue = list(nets)
+    def cones(self, nets: set[int], mems: set[int]) -> tuple[int, int]:
+        """``(forward, support)`` node bitsets of a seed set."""
+        if self._comp_of is None:
+            self._sweep()
+        comp_of, desc = self._comp_of, self._desc
+        fwd = 0
+        for net in nets:
+            fwd |= desc[comp_of[net]]
         for mi in mems:
-            for net in circuit.memories[mi].rdata:
-                if net not in out_nets:
-                    out_nets.add(net)
-                    queue.append(net)
-        while queue:
-            net = queue.pop()
-            for desc in self._fanout.get(net, ()):
-                if desc[0] == "gate":
-                    new = (circuit.gates[desc[1]].out,)
-                elif desc[0] == "flop":
-                    new = (circuit.flops[desc[1]].q,)
-                elif desc[0] == "mem":
-                    mi = desc[1]
-                    if mi in out_mems:
-                        continue
-                    out_mems.add(mi)
-                    new = circuit.memories[mi].rdata
-                else:           # primary output: nothing downstream
-                    continue
-                for n in new:
-                    if n not in out_nets:
-                        out_nets.add(n)
-                        queue.append(n)
-        return out_nets, out_mems
+            fwd |= desc[comp_of[self._nnets + mi]]
+        support = self._support_of.get(fwd)
+        if support is None:
+            # every component of a descendant-closed set reaches a sink
+            # component inside it, whose ancestors include its own: the
+            # sinks' ancestor sets alone make up the support
+            support = 0
+            sinks = fwd & self._sink_nodes
+            while sinks:
+                low = sinks & -sinks
+                support |= self._sink_anc[low.bit_length() - 1]
+                sinks ^= low
+            self._support_of[fwd] = support
+        return fwd, support
 
-    def backward_closure(self, nets: set[int], mems: set[int]
-                         ) -> tuple[set[int], set[int]]:
+    def cone_sets(self, cone: int
+                  ) -> tuple[frozenset[int], frozenset[int]]:
+        """The nets and memory indices of a node bitset."""
+        bits = bin(cone)[:1:-1]         # bit i at position i
+        return (frozenset(i for i, bit in enumerate(bits[:self._nnets])
+                          if bit == "1"),
+                frozenset(i for i, bit in enumerate(bits[self._nnets:])
+                          if bit == "1"))
+
+    def _sweep(self) -> None:
+        """Condense the net graph and give every component its
+        descendant set, and every sink component its ancestor set."""
         circuit = self.circuit
-        out_nets = set(nets)
-        out_mems = set(mems)
-        queue = list(nets)
-
-        def pull(new_nets):
-            for n in new_nets:
-                if n is not None and n not in out_nets:
-                    out_nets.add(n)
-                    queue.append(n)
-
-        def pull_mem(mi):
-            if mi in out_mems:
-                return
-            out_mems.add(mi)
-            mem = circuit.memories[mi]
-            pull((*mem.addr, *mem.wdata, mem.we))
-
-        for mi in list(mems):
-            out_mems.discard(mi)
-            pull_mem(mi)
-        while queue:
-            net = queue.pop()
-            desc = self._drivers.get(net)
-            if desc is None:
-                continue
-            if desc[0] == "gate":
-                pull(circuit.gates[desc[1]].inputs)
-            elif desc[0] == "flop":
-                flop = circuit.flops[desc[1]]
-                pull((flop.d, flop.en, flop.rst))
-            elif desc[0] == "mem":
-                pull_mem(desc[1])
-        return out_nets, out_mems
+        nnets = self._nnets
+        succ: list[list[int]] = [[] for _ in range(
+            nnets + len(circuit.memories))]
+        for gate in circuit.gates:
+            for net in gate.inputs:
+                succ[net].append(gate.out)
+        for flop in circuit.flops:
+            for net in (flop.d, flop.en, flop.rst):
+                if net is not None:
+                    succ[net].append(flop.q)
+        for i, mem in enumerate(circuit.memories):
+            node = nnets + i
+            for net in (*mem.addr, *mem.wdata, mem.we):
+                succ[net].append(node)
+            succ[node].extend(mem.rdata)
+        comp_of, comps = _condense(succ)
+        comp_succ = []
+        for c, members in enumerate(comps):
+            below = {comp_of[w] for v in members for w in succ[v]}
+            below.discard(c)
+            comp_succ.append(below)
+        # Tarjan emits a component after every component it reaches:
+        # ascending ids are a reverse topological order
+        desc = []
+        for c, below in enumerate(comp_succ):
+            bits = _mask(comps[c])
+            for d in below:
+                bits |= desc[d]
+            desc.append(bits)
+        # descending ids: a component's ancestors are complete when it
+        # is reached; only the sinks' sets are kept
+        sink_anc: dict[int, int] = {}
+        pending: dict[int, int] = {}
+        for c in range(len(comps) - 1, -1, -1):
+            bits = _mask(comps[c]) | pending.pop(c, 0)
+            for d in comp_succ[c]:
+                pending[d] = pending.get(d, 0) | bits
+            if not comp_succ[c]:
+                sink_anc[comps[c][0]] = bits
+        self._comp_of = comp_of
+        self._desc = desc
+        self._sink_anc = sink_anc
+        self._sink_nodes = _mask(sink_anc)
 
     # ------------------------------------------------------------------
-    def fingerprint(self, sup_nets: frozenset[int],
-                    sup_mems: frozenset[int]) -> str:
+    def fingerprint(self, support: int) -> str:
         """Content address of the sub-circuit of one support cone."""
-        key = (sup_nets, sup_mems)
-        cached = self._cone_fp.get(key)
+        cached = self._cone_fp.get(support)
         if cached is None:
-            cached = self._cone_fp[key] = digest(self._canonical(*key))
+            cached = self._cone_fp[support] = digest(
+                self._canonical(*self.cone_sets(support)))
         return cached
 
     def full_fingerprint(self) -> str:
@@ -235,6 +264,31 @@ class SupportIndex:
 # ----------------------------------------------------------------------
 # the campaign-wide context
 # ----------------------------------------------------------------------
+class StimuliDigest:
+    """Digests of the ``max_cycles`` prefixes of one stimulus list.
+
+    Encoding a paper-size workload takes ~0.1 s, and a campaign digests
+    its stimuli twice: for the key of its golden record and, under its
+    own ``max_cycles``, for its faults.  Contexts handed the same
+    holder encode each prefix once.
+    """
+
+    def __init__(self, stimuli: list):
+        self.stimuli = stimuli
+        self._fps: dict[int, str] = {}
+
+    def prefix(self, max_cycles: int | None = None) -> tuple[str, int]:
+        """``(digest, cycles)`` of the first ``max_cycles`` cycles (of
+        all of them when ``None``)."""
+        effective = self.stimuli if max_cycles is None \
+            else self.stimuli[:max_cycles]
+        cycles = len(effective)
+        if cycles not in self._fps:
+            self._fps[cycles] = digest(
+                [sorted(cycle.items()) for cycle in effective])
+        return self._fps[cycles], cycles
+
+
 class FingerprintContext:
     """Fingerprints for one campaign environment.
 
@@ -248,14 +302,12 @@ class FingerprintContext:
     def __init__(self, circuit: Circuit, stimuli,
                  zones: list[SensibleZone],
                  observation_points: list[ObservationPoint],
-                 setup=None, max_cycles: int | None = None):
+                 setup=None, max_cycles: int | None = None,
+                 stimuli_digest: StimuliDigest | None = None):
         self.circuit = circuit
-        effective = list(stimuli)
-        if max_cycles is not None:
-            effective = effective[:max_cycles]
-        self.stimuli_fp = digest(
-            [sorted(cycle.items()) for cycle in effective])
-        self.cycles = len(effective)
+        if stimuli_digest is None or stimuli_digest.stimuli != stimuli:
+            stimuli_digest = StimuliDigest(list(stimuli))
+        self.stimuli_fp, self.cycles = stimuli_digest.prefix(max_cycles)
         self.setup_fp = _setup_digest(setup)
         # only reachable after _setup_digest accepted it: None or a
         # MemoryImageSetup snapshot (restricted per fault below)
@@ -270,11 +322,11 @@ class FingerprintContext:
             return [point.name, point.kind.value,
                     [circuit.net_names[n] for n in point.nets]]
 
-        # Per group: canonical entries paired with their net sets, in
-        # group order, so :meth:`_zone_support` can take the reachable
-        # subsequence per fault without re-deriving either.
+        # Per group: canonical entries paired with their net bitsets,
+        # in group order, so :meth:`_zone_support` can take the
+        # reachable subsequence per fault without re-deriving either.
         self._obs_groups = [
-            (group, [(canon(p), frozenset(p.nets)) for p in points])
+            (group, [(canon(p), _mask(p.nets)) for p in points])
             for group, points
             in observation_groups(observation_points)._asdict().items()]
         self.obs_fp = digest({group: [entry for entry, _ in entries]
@@ -283,6 +335,8 @@ class FingerprintContext:
         self._zones = {z.name: z for z in zones}
         self._zone_fp: dict[tuple, tuple[str, dict | None, str,
                                          str | None]] = {}
+        self._obs_fp_of: dict[int, str] = {}
+        self._setup_fp_of: dict[int, str | None] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -290,7 +344,8 @@ class FingerprintContext:
         """Context for a picklable :class:`CampaignSpec`."""
         return cls(spec.circuit, spec.stimuli, list(spec.zones),
                    list(spec.observation_points), setup=spec.setup,
-                   max_cycles=spec.config.max_cycles)
+                   max_cycles=spec.config.max_cycles,
+                   stimuli_digest=spec.stimuli_digest)
 
     @classmethod
     def from_manager(cls, manager) -> "FingerprintContext":
@@ -347,8 +402,8 @@ class FingerprintContext:
         })
 
     # ------------------------------------------------------------------
-    def _reachable_obs_fp(self, fwd_nets: set[int]) -> str:
-        """Digest of the observation points the fault can reach.
+    def _reachable_obs_fp(self, fwd: int) -> str:
+        """Digest of the observation points a forward cone reaches.
 
         Points with no net in the fan-out closure see faulty values
         equal to golden on every cycle, so they contribute nothing to
@@ -357,10 +412,25 @@ class FingerprintContext:
         reachable points stay in group order because ``first_alarm``
         tie-breaks on it (a subsequence preserves relative order).
         """
-        return digest({
-            group: [entry for entry, nets in entries
-                    if nets & fwd_nets]
-            for group, entries in self._obs_groups})
+        cached = self._obs_fp_of.get(fwd)
+        if cached is None:
+            cached = self._obs_fp_of[fwd] = digest({
+                group: [entry for entry, nets in entries if nets & fwd]
+                for group, entries in self._obs_groups})
+        return cached
+
+    def _restricted_setup_fp(self, support: int) -> str | None:
+        """Digest of the setup state inside one support cone."""
+        if support not in self._setup_fp_of:
+            sup_nets, sup_mems = self.support.cone_sets(support)
+            # setup state outside the cone (a preload image, an initial
+            # flop value) drives no net the record depends on: anything
+            # that could is in the cone by construction
+            self._setup_fp_of[support] = _setup_digest(
+                self._setup,
+                {self.circuit.memories[i].name for i in sup_mems},
+                {f.name for f in self.circuit.flops if f.q in sup_nets})
+        return self._setup_fp_of[support]
 
     def _zone_support(self, fault: Fault
                       ) -> tuple[str, dict | None, str, str | None]:
@@ -396,20 +466,10 @@ class FingerprintContext:
                 else:
                     resolved = False
         if resolved and (nets or mems):
-            fwd_nets, fwd_mems = self.support.forward_closure(nets,
-                                                              mems)
-            sup_nets, sup_mems = self.support.backward_closure(
-                fwd_nets, fwd_mems)
-            support_fp = self.support.fingerprint(frozenset(sup_nets),
-                                                  frozenset(sup_mems))
-            obs_fp = self._reachable_obs_fp(fwd_nets)
-            # setup state outside the cone (a preload image, an initial
-            # flop value) drives no net the record depends on: anything
-            # that could is in the backward closure by construction
-            setup_fp = _setup_digest(
-                self._setup,
-                {self.circuit.memories[i].name for i in sup_mems},
-                {f.name for f in self.circuit.flops if f.q in sup_nets})
+            fwd, support = self.support.cones(nets, mems)
+            support_fp = self.support.fingerprint(support)
+            obs_fp = self._reachable_obs_fp(fwd)
+            setup_fp = self._restricted_setup_fp(support)
         else:
             # unknown target or empty seed set: the only sound cone is
             # the whole circuit, observed everywhere with full state
@@ -419,6 +479,64 @@ class FingerprintContext:
         out = (support_fp, zone_canon, obs_fp, setup_fp)
         self._zone_fp[seeds_key] = out
         return out
+
+
+def _condense(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Strongly connected components of a graph (iterative Tarjan).
+
+    Returns ``(comp_of, comps)``: the component id of every node and
+    the members of every component, each component listed after all
+    the components it reaches.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp_of = [-1] * n
+    comps: list[list[int]] = []
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp_of[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]       # w is still on the stack
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        comp_of[w] = len(comps)
+                        members.append(w)
+                        if w == v:
+                            break
+                    comps.append(members)
+    return comp_of, comps
+
+
+def _mask(nodes) -> int:
+    """The bitset of a collection of node indices."""
+    bits = 0
+    for node in nodes:
+        bits |= 1 << node
+    return bits
 
 
 def _fault_targets(fault: Fault) -> tuple[str, ...]:
